@@ -144,19 +144,26 @@ int Main(int argc, char** argv) {
             << (report->server_outputs_identical ? "yes" : "NO")
             << ", mean batch fill "
             << FormatDouble(report->server_mean_batch_fill, 1) << " rows\n";
-  TablePrinter server_table({"load", "p50 us", "p99 us", "qps", "rejected"},
-                            {16, 9, 9, 12, 9});
+  // wait / compute: medians of the server's own serve.server.wait_us
+  // (enqueue -> cut) and serve.server.compute_us (cut -> written).
+  TablePrinter server_table({"load", "p50 us", "p99 us", "qps", "rejected",
+                             "wait p50", "compute p50"},
+                            {16, 9, 9, 12, 9, 9, 11});
   server_table.PrintHeader();
   server_table.PrintRow(
       {"closed loop", FormatDouble(report->server_closed.p50_us, 2),
        FormatDouble(report->server_closed.p99_us, 2),
        FormatDouble(report->server_closed.sustained_qps, 0),
-       std::to_string(report->server_closed.rejected)});
+       std::to_string(report->server_closed.rejected),
+       FormatDouble(report->server_closed.wait_p50_us, 2),
+       FormatDouble(report->server_closed.compute_p50_us, 2)});
   server_table.PrintRow(
       {"open loop", FormatDouble(report->server_open.p50_us, 2),
        FormatDouble(report->server_open.p99_us, 2),
        FormatDouble(report->server_open.sustained_qps, 0),
-       std::to_string(report->server_open.rejected)});
+       std::to_string(report->server_open.rejected),
+       FormatDouble(report->server_open.wait_p50_us, 2),
+       FormatDouble(report->server_open.compute_p50_us, 2)});
   server_table.PrintSeparator();
   std::cout << "open loop target " << FormatDouble(
                    report->server_open_target_qps, 0)

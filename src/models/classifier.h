@@ -43,6 +43,14 @@ enum class ClassifierKind {
   kXgboost,             // XGB
 };
 
+/// The shared precondition at the top of every Classifier::Fit: rows,
+/// columns and one label per row. The nine classifiers read dense column
+/// values, so a chunked (out-of-core) frame is InvalidArgument — a Status
+/// instead of the abort `Column::values()` would raise. `model` prefixes
+/// the message ("knn", "tree model", ...).
+[[nodiscard]] Status ValidateTrainingSet(const Dataset& train,
+                                         const std::string& model);
+
 /// All nine kinds, Table III order.
 const std::vector<ClassifierKind>& AllClassifierKinds();
 

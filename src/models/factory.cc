@@ -8,6 +8,21 @@
 namespace safe {
 namespace models {
 
+Status ValidateTrainingSet(const Dataset& train, const std::string& model) {
+  if (train.num_rows() == 0 || train.x.num_columns() == 0) {
+    return Status::InvalidArgument(model + ": empty training data");
+  }
+  if (train.y == nullptr || train.y->size() != train.num_rows()) {
+    return Status::InvalidArgument(model + ": label size mismatch");
+  }
+  if (train.x.HasChunkedColumns()) {
+    return Status::InvalidArgument(
+        model + ": chunked (out-of-core) training frames are not supported; "
+                "gather the columns into a resident frame first");
+  }
+  return Status::OK();
+}
+
 const std::vector<ClassifierKind>& AllClassifierKinds() {
   static const std::vector<ClassifierKind> kKinds = {
       ClassifierKind::kAdaBoost,           ClassifierKind::kDecisionTree,

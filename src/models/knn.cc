@@ -9,12 +9,7 @@ namespace safe {
 namespace models {
 
 Status KnnClassifier::Fit(const Dataset& train) {
-  if (train.num_rows() == 0 || train.x.num_columns() == 0) {
-    return Status::InvalidArgument("knn: empty training data");
-  }
-  if (train.y == nullptr || train.y->size() != train.num_rows()) {
-    return Status::InvalidArgument("knn: label size mismatch");
-  }
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "knn"));
   if (k_ == 0) {
     return Status::InvalidArgument("knn: k must be > 0");
   }

@@ -10,16 +10,6 @@ namespace models {
 
 namespace {
 
-Status ValidateTrain(const Dataset& train) {
-  if (train.num_rows() == 0 || train.x.num_columns() == 0) {
-    return Status::InvalidArgument("linear model: empty training data");
-  }
-  if (train.y == nullptr || train.y->size() != train.num_rows()) {
-    return Status::InvalidArgument("linear model: label size mismatch");
-  }
-  return Status::OK();
-}
-
 Status ValidatePredict(bool fitted, size_t expected_cols,
                        const DataFrame& x) {
   if (!fitted) {
@@ -51,7 +41,7 @@ std::vector<double> Margins(const DenseMatrix& x,
 // LogisticRegressionClassifier
 
 Status LogisticRegressionClassifier::Fit(const Dataset& train) {
-  SAFE_RETURN_NOT_OK(ValidateTrain(train));
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "linear model"));
   scaler_ = StandardScaler::Fit(train.x);
   DenseMatrix x = scaler_.Transform(train.x);
   const auto& y = train.labels();
@@ -113,7 +103,7 @@ Result<std::vector<double>> LogisticRegressionClassifier::PredictScores(
 // LinearSvmClassifier
 
 Status LinearSvmClassifier::Fit(const Dataset& train) {
-  SAFE_RETURN_NOT_OK(ValidateTrain(train));
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "linear model"));
   scaler_ = StandardScaler::Fit(train.x);
   DenseMatrix x = scaler_.Transform(train.x);
   const auto& y = train.labels();

@@ -36,12 +36,7 @@ struct AdamState {
 }  // namespace
 
 Status MlpClassifier::Fit(const Dataset& train) {
-  if (train.num_rows() == 0 || train.x.num_columns() == 0) {
-    return Status::InvalidArgument("mlp: empty training data");
-  }
-  if (train.y == nullptr || train.y->size() != train.num_rows()) {
-    return Status::InvalidArgument("mlp: label size mismatch");
-  }
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "mlp"));
   if (hidden_ == 0 || epochs_ == 0 || batch_size_ == 0) {
     return Status::InvalidArgument("mlp: hidden/epochs/batch must be > 0");
   }

@@ -10,16 +10,6 @@ namespace models {
 
 namespace {
 
-Status ValidateTrain(const Dataset& train) {
-  if (train.num_rows() == 0 || train.x.num_columns() == 0) {
-    return Status::InvalidArgument("tree model: empty training data");
-  }
-  if (train.y == nullptr || train.y->size() != train.num_rows()) {
-    return Status::InvalidArgument("tree model: label size mismatch");
-  }
-  return Status::OK();
-}
-
 Status ValidatePredict(bool fitted, size_t expected_cols,
                        const DataFrame& x) {
   if (!fitted) {
@@ -89,7 +79,7 @@ std::vector<const std::vector<double>*> ImputedColumns::TrainColumnPtrs()
 // DecisionTreeClassifier
 
 Status DecisionTreeClassifier::Fit(const Dataset& train) {
-  SAFE_RETURN_NOT_OK(ValidateTrain(train));
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "tree model"));
   imputer_.FitMeans(train.x);
   const size_t n = train.num_rows();
   std::vector<double> weights(n, 1.0);
@@ -118,7 +108,7 @@ Result<std::vector<double>> DecisionTreeClassifier::PredictScores(
 // ForestClassifier (RF / ET)
 
 Status ForestClassifier::Fit(const Dataset& train) {
-  SAFE_RETURN_NOT_OK(ValidateTrain(train));
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "tree model"));
   if (num_trees_ == 0) {
     return Status::InvalidArgument("forest: num_trees must be > 0");
   }
@@ -192,7 +182,7 @@ std::vector<double> ForestClassifier::FeatureImportances() const {
 // AdaBoostClassifier (SAMME, decision stumps)
 
 Status AdaBoostClassifier::Fit(const Dataset& train) {
-  SAFE_RETURN_NOT_OK(ValidateTrain(train));
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "tree model"));
   if (num_rounds_ == 0) {
     return Status::InvalidArgument("adaboost: num_rounds must be > 0");
   }

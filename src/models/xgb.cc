@@ -4,6 +4,7 @@ namespace safe {
 namespace models {
 
 Status XgbClassifier::Fit(const Dataset& train) {
+  SAFE_RETURN_NOT_OK(ValidateTrainingSet(train, "xgb"));
   auto result = gbdt::Booster::Fit(train, nullptr, params_);
   if (!result.ok()) return result.status();
   booster_ = std::move(*result);

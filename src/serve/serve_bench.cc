@@ -8,6 +8,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "src/data/synthetic.h"
 #include "src/gbdt/booster.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/metrics.h"
 #include "src/serve/batch_scorer.h"
 #include "src/serve/scorer.h"
 // lint: layering-ok(the benchmark driver sits above the whole serving stack by design; it is a tool, not a library layer)
@@ -42,6 +44,49 @@ uint64_t Bits(double v) {
 bool SameOutput(double a, double b) {
   if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
   return Bits(a) == Bits(b);
+}
+
+/// Median of the observations histogram `name` gained between two
+/// snapshots, interpolated linearly inside its bucket (the overflow
+/// bucket reads as the last bound); 0 when it gained none.
+double HistogramDeltaMedian(const obs::MetricsSnapshot& before,
+                            const obs::MetricsSnapshot& after,
+                            const std::string& name) {
+  const auto it = after.histograms.find(name);
+  if (it == after.histograms.end()) return 0.0;
+  const obs::HistogramSnapshot& hist = it->second;
+  std::vector<uint64_t> counts = hist.counts;
+  const auto prior = before.histograms.find(name);
+  if (prior != before.histograms.end()) {
+    for (size_t b = 0; b < counts.size(); ++b) {
+      counts[b] -= prior->second.counts[b];
+    }
+  }
+  uint64_t total = 0;
+  for (const uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
+  const double half = static_cast<double>(total) / 2.0;
+  double below = 0.0;
+  for (size_t b = 0; b < hist.upper_bounds.size(); ++b) {
+    const double in_bucket = static_cast<double>(counts[b]);
+    if (below + in_bucket >= half) {
+      const double lo = b == 0 ? 0.0 : hist.upper_bounds[b - 1];
+      return lo + (hist.upper_bounds[b] - lo) * (half - below) / in_bucket;
+    }
+    below += in_bucket;
+  }
+  return hist.upper_bounds.empty() ? 0.0 : hist.upper_bounds.back();
+}
+
+/// Sets the server-side wait / compute medians of `stats` from the
+/// histograms' growth since `*since`, then advances `*since` to now.
+void SetServerSplit(ServerLoadStats* stats, obs::MetricsSnapshot* since) {
+  obs::MetricsSnapshot now = obs::MetricsRegistry::Global()->Snapshot();
+  stats->wait_p50_us =
+      HistogramDeltaMedian(*since, now, "serve.server.wait_us");
+  stats->compute_p50_us =
+      HistogramDeltaMedian(*since, now, "serve.server.compute_us");
+  *since = std::move(now);
 }
 
 PathStats SummarizeSamples(std::vector<uint64_t>* samples_ns) {
@@ -100,6 +145,8 @@ obs::JsonValue LoadStatsToJson(const ServerLoadStats& stats) {
   out.Set("sustained_qps", obs::JsonValue(stats.sustained_qps));
   out.Set("completed", obs::JsonValue(uint64_t{stats.completed}));
   out.Set("rejected", obs::JsonValue(uint64_t{stats.rejected}));
+  out.Set("wait_us_p50", obs::JsonValue(stats.wait_p50_us));
+  out.Set("compute_us_p50", obs::JsonValue(stats.compute_p50_us));
   return out;
 }
 
@@ -475,6 +522,8 @@ Result<ServeBenchReport> RunServeBench(const ServeBenchOptions& options) {
 
     const size_t clients = opts.server.client_threads;
     std::atomic<bool> failed{false};
+    obs::MetricsSnapshot split_since =
+        obs::MetricsRegistry::Global()->Snapshot();
 
     // Closed loop: each client keeps exactly one request outstanding, so
     // completions track the service rate and queues never saturate.
@@ -522,6 +571,7 @@ Result<ServeBenchReport> RunServeBench(const ServeBenchOptions& options) {
           SummarizeLoad(&merged, wall_ns,
                         // lint: mo-ok(joins above order every worker write before this read)
                         rejected.load(std::memory_order_relaxed));
+      SetServerSplit(&report.server_closed, &split_since);
     }
 
     // Open loop: arrivals are scheduled on a fixed grid at the target
@@ -591,6 +641,7 @@ Result<ServeBenchReport> RunServeBench(const ServeBenchOptions& options) {
           SummarizeLoad(&merged, end_ns - start_ns,
                         // lint: mo-ok(joins above order every worker write before this read)
                         rejected.load(std::memory_order_relaxed));
+      SetServerSplit(&report.server_open, &split_since);
     }
 
     scoring_server->Stop();

@@ -40,6 +40,12 @@ struct ServerLoadStats {
   double sustained_qps = 0.0;
   uint64_t completed = 0;
   uint64_t rejected = 0;
+  /// Medians of the server's own serve.server.wait_us (enqueue -> cut,
+  /// per request) and serve.server.compute_us (cut -> outputs written,
+  /// per batch) over this run, interpolated inside their histogram
+  /// buckets; 0 when SAFE_TELEMETRY=OFF.
+  double wait_p50_us = 0.0;
+  double compute_p50_us = 0.0;
 };
 
 /// \brief Configuration of the serving benchmark (shared by

@@ -49,6 +49,8 @@ struct ServerMetrics {
   obs::Counter* rejected;
   obs::Counter* batches;
   obs::Histogram* latency_us;   // request enqueue -> completion
+  obs::Histogram* wait_us;      // request enqueue -> cut
+  obs::Histogram* compute_us;   // batch cut -> outputs written
   obs::Histogram* batch_fill;   // rows per micro-batch cut
   obs::Histogram* queue_depth;  // shard backlog sampled at each cut
 
@@ -61,6 +63,10 @@ struct ServerMetrics {
           registry->counter("serve.server.rejected"),
           registry->counter("serve.server.batches"),
           registry->histogram("serve.server.latency_us",
+                              obs::DefaultLatencyBucketsUs()),
+          registry->histogram("serve.server.wait_us",
+                              obs::DefaultLatencyBucketsUs()),
+          registry->histogram("serve.server.compute_us",
                               obs::DefaultLatencyBucketsUs()),
           registry->histogram("serve.server.batch_fill",
                               PowerOfTwoBuckets(4096.0)),
@@ -284,7 +290,7 @@ Status ScoringServer::ScoreBatch(const std::vector<std::vector<double>>& rows,
 }
 
 void ScoringServer::CutBatch(Shard* shard, std::vector<Request>* staged,
-                             size_t staged_rows,
+                             size_t staged_rows, uint64_t cut_ns,
                              std::vector<const double*>* row_ptrs,
                              std::vector<double>* outs,
                              BatchScorer::Scratch* scratch) {
@@ -317,6 +323,8 @@ void ScoringServer::CutBatch(Shard* shard, std::vector<Request>* staged,
     offset += request.num_rows;
     metrics.latency_us->Observe(
         static_cast<double>(done_ns - request.enqueue_ns) / 1e3);
+    metrics.wait_us->Observe(
+        static_cast<double>(cut_ns - request.enqueue_ns) / 1e3);
     // lint: mo-ok(standalone tallies; pair with stats()'s relaxed loads — completion itself is published by the sync mutex below)
     completed_requests_.fetch_add(1, std::memory_order_relaxed);
     // lint: mo-ok(see above)
@@ -333,6 +341,7 @@ void ScoringServer::CutBatch(Shard* shard, std::vector<Request>* staged,
   // lint: mo-ok(standalone tally; pairs with stats()'s relaxed load)
   batches_.fetch_add(1, std::memory_order_relaxed);
   metrics.batches->Increment();
+  metrics.compute_us->Observe(static_cast<double>(done_ns - cut_ns) / 1e3);
   metrics.batch_fill->Observe(static_cast<double>(staged_rows));
   metrics.queue_depth->Observe(
       static_cast<double>(shard->queue.SizeApprox()));
@@ -354,6 +363,11 @@ void ScoringServer::ShardLoop(Shard* shard) {
   std::vector<Request> staged;
   size_t staged_rows = 0;
   uint64_t oldest_ns = 0;
+  // Batcher input: the gap EWMA reads the last popped stamp (0 = none
+  // yet); `timed_out` marks the drain after an expired timed wait.
+  ArrivalState arrivals;
+  uint64_t last_enqueue_ns = 0;
+  bool timed_out = false;
   std::vector<const double*> row_ptrs;
   std::vector<double> outs;
   BatchScorer::Scratch scratch = shard->scorer.MakeScratch();
@@ -363,10 +377,18 @@ void ScoringServer::ShardLoop(Shard* shard) {
     // the queue is momentarily empty. SizeApprox counts claimed slots,
     // so a producer mid-push (claimed, not yet published) makes us spin
     // briefly instead of mistaking the queue for empty.
+    size_t popped = 0;
     while (staged_rows < options_.batcher.max_batch_rows) {
       Request request;
       if (shard->queue.TryPop(&request)) {
         if (staged.empty()) oldest_ns = request.enqueue_ns;
+        if (last_enqueue_ns != 0) {  // racing stamps may pop out of order
+          arrivals = batcher.AfterGap(
+              arrivals, request.enqueue_ns -
+                            std::min(request.enqueue_ns, last_enqueue_ns));
+        }
+        last_enqueue_ns = request.enqueue_ns;
+        ++popped;
         staged.push_back(request);
         staged_rows += request.num_rows;
         continue;
@@ -375,12 +397,16 @@ void ScoringServer::ShardLoop(Shard* shard) {
       std::this_thread::yield();
     }
 
+    arrivals = MicroBatcher::AfterDrain(arrivals, popped,
+                                        std::exchange(timed_out, false));
     // lint: mo-ok(acquire pairs with Stop's seq_cst store; only the flag itself is consumed here)
     const bool closing = stopping_.load(std::memory_order_acquire);
+    const uint64_t now_ns = NowSteadyNs();
     const MicroBatcher::Decision decision =
-        batcher.Decide(staged_rows, oldest_ns, NowSteadyNs(), closing);
+        batcher.Decide(staged_rows, oldest_ns, now_ns, closing, arrivals);
     if (decision.action == MicroBatcher::Action::kCut) {
-      CutBatch(shard, &staged, staged_rows, &row_ptrs, &outs, &scratch);
+      CutBatch(shard, &staged, staged_rows, now_ns, &row_ptrs, &outs,
+               &scratch);
       staged.clear();
       staged_rows = 0;
       continue;
@@ -414,8 +440,9 @@ void ScoringServer::ShardLoop(Shard* shard) {
       // against the clock rather than re-arming the same deadline.
       if (shard->queue.SizeApprox() == 0 &&
           !stopping_.load(std::memory_order_acquire)) {  // lint: mo-ok(acquire flag read; see `closing` above)
-        shard->cv.WaitUntil(shard->mutex,
-                            SteadyTimePoint(decision.deadline_ns));
+        timed_out = shard->cv.WaitUntil(
+                        shard->mutex, SteadyTimePoint(decision.deadline_ns)) ==
+                    std::cv_status::timeout;
       }
     } else {
       while (shard->queue.SizeApprox() == 0 &&

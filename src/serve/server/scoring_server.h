@@ -29,7 +29,7 @@ struct ServerOptions {
   /// one slot). A full queue rejects — admission control, not blocking.
   /// Rounded up to a power of two by the queue.
   size_t queue_capacity = 1024;
-  /// Dynamic micro-batching policy (B rows / T microseconds).
+  /// Dynamic micro-batching policy (B rows / at most T microseconds).
   BatcherOptions batcher;
 };
 
@@ -51,10 +51,11 @@ struct ServerStats {
 /// Architecture (client thread -> response):
 ///
 ///   Score()/ScoreBatch() --TryPush--> shard MPSC queue --drain--> worker
-///     worker stages requests, MicroBatcher decides the cut (B rows or
-///     T us past the oldest pending row), BatchScorer::ScoreBlockPtrs
-///     scores the staged row pointers in kBlockRows blocks, the worker
-///     writes each request's output slots and rings its completion sync.
+///     worker stages requests, MicroBatcher decides the cut (B rows, or
+///     T us past the oldest pending row, or at once when no co-rider can
+///     arrive before that), BatchScorer::ScoreBlockPtrs scores the
+///     staged row pointers in kBlockRows blocks, the worker writes each
+///     request's output slots and rings its completion sync.
 ///
 /// Contracts:
 ///   - Determinism: every response is bit-identical to calling
@@ -71,9 +72,10 @@ struct ServerStats {
 ///     joins the workers; every accepted request completes.
 ///
 /// Telemetry: serve.server.{requests,rows,rejected,batches} counters and
-/// serve.server.{latency_us,batch_fill,queue_depth} histograms — a
-/// namespace disjoint from the library-call series serve.latency_us /
-/// serve.batch_latency_us, so server traffic never pollutes those.
+/// serve.server.{latency_us,wait_us,compute_us,batch_fill,queue_depth}
+/// histograms — a namespace disjoint from the library-call series
+/// serve.latency_us / serve.batch_latency_us, so server traffic never
+/// pollutes those.
 /// Flight-recorder spans: serve.server.batch per cut on each shard
 /// worker timeline ("server.shard<k>").
 class ScoringServer {
@@ -162,9 +164,10 @@ class ScoringServer {
   [[nodiscard]] Status Submit(uint64_t route_key, const double* const* rows,
                               size_t num_rows, double* out) const;
   void ShardLoop(Shard* shard);
-  /// Scores and completes the staged requests (one micro-batch cut).
+  /// Scores and completes the staged requests (one micro-batch cut,
+  /// decided at `cut_ns`).
   void CutBatch(Shard* shard, std::vector<Request>* staged, size_t staged_rows,
-                std::vector<const double*>* row_ptrs,
+                uint64_t cut_ns, std::vector<const double*>* row_ptrs,
                 std::vector<double>* outs, BatchScorer::Scratch* scratch);
 
   ServerOptions options_;

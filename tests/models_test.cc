@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "src/data/synthetic.h"
+#include "src/dataframe/chunked.h"
+#include "src/dataframe/spill.h"
 #include "src/models/tree_models.h"
 #include "src/stats/auc.h"
 
@@ -157,6 +159,23 @@ INSTANTIATE_TEST_SUITE_P(
       if (name == "kNN") name = "KNN";
       return name;
     });
+
+TEST(ClassifierFitTest, ChunkedTrainingSetIsInvalidArgumentForAllNine) {
+  // The classifiers read dense column values; an out-of-core frame must
+  // come back as a Status, never abort the process.
+  SplitPair data = MakeEasyProblem();
+  SpillPool::Options options;
+  auto pool = SpillPool::Create(options);
+  ASSERT_TRUE(pool.ok());
+  const Dataset chunked = ToChunkedDataset(data.train, *pool, kMinRowGroupRows);
+  ASSERT_TRUE(chunked.x.HasChunkedColumns());
+  for (const ClassifierKind kind : AllClassifierKinds()) {
+    auto clf = MakeClassifier(kind, 7);
+    const Status status = clf->Fit(chunked);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << ClassifierShortName(kind) << ": " << status.ToString();
+  }
+}
 
 TEST(ForestImportanceTest, InformativeBeatsNuisance) {
   // Single informative column among nuisance: importance concentrates.

@@ -12,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -318,6 +321,54 @@ TEST(ServeServerTest, SaturationRejectsCleanlyWithFullAccounting) {
           << "client " << c << " request " << i;
     }
   }
+}
+
+TEST(ServeServerTest, LoneCallerIsNotHeldForCoRiders) {
+  Fixture f = MakeFixture(39);
+  const size_t n = f.rows.size();
+  // One closed caller can never supply a co-rider for its own request.
+  // A fixed T would hold every call for the full 200 ms (4 s in total);
+  // the batcher may wait out T once to learn that, then cuts at once.
+  constexpr uint64_t kWaitUs = 200000;
+  std::unique_ptr<ScoringServer> server =
+      MakeServer(f, /*shards=*/1, /*max_batch_rows=*/64, kWaitUs);
+  const size_t calls = 20;
+  [[maybe_unused]] const obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global()->Snapshot();
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < calls; ++i) {
+    const size_t r = i % n;
+    auto score = server->Score(r, f.rows[r]);
+    ASSERT_TRUE(score.ok()) << score.status().ToString();
+    ASSERT_TRUE(SameBits(f.oracle[r], *score)) << "call " << i;
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::microseconds(5 * kWaitUs));
+  server->Stop();
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.completed_requests, calls);
+#if SAFE_TELEMETRY_ENABLED
+  // The server's own latency split shows where the time went: one wait
+  // per request, all but the first far below T, and one compute
+  // observation per batch.
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global()->Snapshot();
+  // Observations `name` gained in the buckets bounded by `max_us`.
+  const auto gained = [&](const std::string& name, double max_us) {
+    const obs::HistogramSnapshot& now = after.histograms.at(name);
+    const auto then = before.histograms.find(name);
+    uint64_t count = 0;
+    for (size_t i = 0; i < now.counts.size(); ++i) {
+      if (i < now.upper_bounds.size() && now.upper_bounds[i] > max_us) break;
+      count += now.counts[i];
+      if (then != before.histograms.end()) count -= then->second.counts[i];
+    }
+    return count;
+  };
+  const double any = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(gained("serve.server.wait_us", any), calls);
+  EXPECT_GE(gained("serve.server.wait_us", kWaitUs / 2.0), calls - 1);
+  EXPECT_EQ(gained("serve.server.compute_us", any), stats.batches);
+#endif
 }
 
 TEST(ServeServerTest, StopDrainsAcceptedAndRejectsNew) {
